@@ -17,10 +17,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-STAGES=(fmt build test transport workloads chaos clippy bench-compile bench-smoke exhibits examples cluster)
+STAGES=(fmt build test transport workloads chaos clippy bench-compile bench-smoke perf-fingerprint exhibits examples cluster)
 # Stages skipped by --fast: each of these compiles the release or bench
 # profile, which dwarfs the debug stages' wall time.
-RELEASE_STAGES=(build bench-compile bench-smoke exhibits cluster)
+RELEASE_STAGES=(build bench-compile bench-smoke perf-fingerprint exhibits cluster)
 
 step() { printf '\n==> %s\n' "$*"; }
 
@@ -230,6 +230,23 @@ stage_bench_smoke() {
         bench_smoke_measure
         bench_smoke_baseline
     fi
+}
+
+# Arithmetic fingerprint gate: one short run of the repository benchmark
+# (the BENCHMARK.json command) on dense-inproc, seed 1. Every BSP-phase job
+# checks its (step, held-out accuracy, parameter checksum) fingerprint
+# against perfbench/fingerprints.txt and the run exits non-zero on any
+# mismatch, so a kernel change that moves a single bit of the training
+# arithmetic fails here. Built first so compilation does not eat the run
+# budget; hard KILL timeout so a wedged job fails the gate.
+stage_perf_fingerprint() {
+    cargo build --quiet --release --offline --manifest-path perfbench/Cargo.toml
+    timeout -sKILL 180 \
+        cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \
+        -- --workload dense-inproc --seed 1 --seconds 1 --trace 0 || {
+        echo "benchmark fingerprint run failed or timed out (180s budget)" >&2
+        return 1
+    }
 }
 
 # Exhibit golden gate: fig5 (knee) and table2 (search costs) regenerated

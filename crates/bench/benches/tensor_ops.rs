@@ -19,6 +19,18 @@ fn bench_tensor(c: &mut Criterion) {
         let d = Tensor::full(&[128, 32], 0.5);
         bench.iter(|| black_box(a.t_matmul(&d)))
     });
+    // The input gradient `δ·Wᵀ` of the benchmark model's 128→64 layer.
+    let delta = Tensor::from_vec(
+        (0..32 * 64).map(|i| (i as f32 * 0.17).sin()).collect(),
+        &[32, 64],
+    );
+    let w = Tensor::from_vec(
+        (0..128 * 64).map(|i| (i as f32 * 0.23).cos()).collect(),
+        &[128, 64],
+    );
+    c.bench_function("matmul_t_32x64x128", |bench| {
+        bench.iter(|| black_box(delta.matmul_t(&w)))
+    });
     let mut p = Tensor::full(&[64 * 512], 0.1);
     let g = Tensor::full(&[64 * 512], 0.01);
     c.bench_function("axpy_32k", |bench| {

@@ -107,11 +107,37 @@ impl Layer for Conv1d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        let x = self.cached_x.as_ref().expect("cached by backward_params");
+        let batch = x.rows();
+        let length = x.cols();
+        let (channels, kernel) = (self.channels(), self.kernel());
+        let out_len = length - kernel + 1;
+        let mut gx = Tensor::zeros(&[batch, length]);
+        let wd = self.w.data();
+        let gd = grad_out.data();
+        let gxd = gx.data_mut();
+        for r in 0..batch {
+            let gout = &gd[r * channels * out_len..(r + 1) * channels * out_len];
+            let grow = &mut gxd[r * length..(r + 1) * length];
+            for c in 0..channels {
+                let filt = &wd[c * kernel..(c + 1) * kernel];
+                for t in 0..out_len {
+                    let g = gout[c * out_len + t];
+                    for k in 0..kernel {
+                        grow[t + k] += g * filt[k];
+                    }
+                }
+            }
+        }
+        gx
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_x
             .as_ref()
             .expect("backward called before forward");
-        let batch = x.rows();
         let length = x.cols();
         let (channels, kernel) = (self.channels(), self.kernel());
         let out_len = length - kernel + 1;
@@ -121,31 +147,24 @@ impl Layer for Conv1d {
         // recovering, unlike Dense which rebuilds its grads every backward.
         self.gw.data_mut().fill(0.0);
         self.gb.data_mut().fill(0.0);
-        let mut gx = Tensor::zeros(&[batch, length]);
         let xd = x.data();
-        let wd = self.w.data();
         let gd = grad_out.data();
         let gwd = self.gw.data_mut();
         let gbd = self.gb.data_mut();
-        let gxd = gx.data_mut();
-        for r in 0..batch {
+        for r in 0..x.rows() {
             let row = &xd[r * length..(r + 1) * length];
             let gout = &gd[r * channels * out_len..(r + 1) * channels * out_len];
-            let grow = &mut gxd[r * length..(r + 1) * length];
             for c in 0..channels {
-                let filt = &wd[c * kernel..(c + 1) * kernel];
                 let gfilt = &mut gwd[c * kernel..(c + 1) * kernel];
                 for t in 0..out_len {
                     let g = gout[c * out_len + t];
                     gbd[c] += g;
-                    for k in 0..kernel {
-                        gfilt[k] += g * row[t + k];
-                        grow[t + k] += g * filt[k];
+                    for (gf, &xv) in gfilt.iter_mut().zip(&row[t..t + kernel]) {
+                        *gf += g * xv;
                     }
                 }
             }
         }
-        gx
     }
 
     fn params(&self) -> Vec<&Tensor> {

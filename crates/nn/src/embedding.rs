@@ -101,6 +101,12 @@ impl Layer for Embedding {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        // Ids carry no gradient.
+        Tensor::zeros(&[grad_out.rows(), self.cached_tokens])
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let tokens = self.cached_tokens;
         assert!(tokens > 0, "backward called before forward");
         let batch = self.cached_ids.len() / tokens;
@@ -130,8 +136,6 @@ impl Layer for Embedding {
         }
         self.touched.sort_unstable();
         self.touched.dedup();
-        // Ids carry no gradient.
-        Tensor::zeros(&[batch, tokens])
     }
 
     fn params(&self) -> Vec<&Tensor> {

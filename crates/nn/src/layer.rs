@@ -25,6 +25,22 @@ pub trait Layer: Send {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Backpropagates `grad_out` into the layer's parameter gradients only,
+    /// without computing the gradient with respect to the input.
+    ///
+    /// [`crate::Network::loss_and_grad`] calls this on the first layer, whose
+    /// input gradient nobody reads. The parameter gradients must be
+    /// bit-identical to the ones [`Layer::backward`] would leave. The default
+    /// calls `backward` and drops its result; a layer whose input gradient
+    /// costs real work overrides it.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before `forward`.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
+
     /// Immutable views of the layer's parameter tensors.
     fn params(&self) -> Vec<&Tensor>;
 
@@ -104,13 +120,17 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_params(grad_out);
+        grad_out.matmul_t(&self.w)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
         let x = self
             .cached_x
             .as_ref()
             .expect("backward called before forward");
         self.gw = x.t_matmul(grad_out);
         self.gb = grad_out.sum_rows();
-        grad_out.matmul_t(&self.w)
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -218,12 +218,20 @@ impl Network {
 
     /// Runs forward + backward, returning the mean loss and the flattened
     /// gradient vector (aligned with [`Network::params_flat`]).
+    ///
+    /// The first layer runs [`Layer::backward_params`]: the gradient with
+    /// respect to the network input is never needed, so it is not computed.
     pub fn loss_and_grad(&mut self, x: &Tensor, labels: &[usize]) -> (f32, Vec<f32>) {
         let logits = self.forward(x);
         let (loss, mut grad) = self.loss.loss_and_grad(&logits, labels);
-        for layer in self.layers.iter_mut().rev() {
+        let (first, rest) = self
+            .layers
+            .split_first_mut()
+            .expect("a network has at least one layer");
+        for layer in rest.iter_mut().rev() {
             grad = layer.backward(&grad);
         }
+        first.backward_params(&grad);
         (loss, self.grads_flat())
     }
 
@@ -318,6 +326,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dataset;
 
     #[test]
     fn mlp_shapes_and_counts() {
@@ -466,6 +475,76 @@ mod tests {
         // Rows 4 and 5 are adjacent → one run of 2·dim.
         assert_eq!(runs[0], (16, 8));
         assert_eq!(runs.len(), 2, "rows + head: {runs:?}");
+    }
+
+    /// `loss_and_grad` with a full `backward` on every layer, the first
+    /// included: the reference the first layer's `Layer::backward_params`
+    /// must reproduce.
+    fn loss_and_grad_full_backward(
+        net: &mut Network,
+        x: &Tensor,
+        labels: &[usize],
+    ) -> (f32, Vec<f32>) {
+        let logits = net.forward(x);
+        let (loss, mut grad) = net.loss.loss_and_grad(&logits, labels);
+        for layer in net.layers.iter_mut().rev() {
+            grad = layer.backward(&grad);
+        }
+        (loss, net.grads_flat())
+    }
+
+    /// Trains `net` and a clone side by side for a few SGD steps, one through
+    /// `loss_and_grad` and one through the full-backward reference, and
+    /// requires bitwise-equal losses, gradients and sparse runs every step.
+    fn assert_first_layer_skip_is_bitwise(mut net: Network, data: &Dataset) {
+        let mut reference = net.clone();
+        let (mut runs, mut ref_runs) = (Vec::new(), Vec::new());
+        for step in 0..8 {
+            let idx: Vec<usize> = (0..8).map(|i| (step * 8 + i) % data.len()).collect();
+            let (x, y) = data.batch(&idx);
+            let (loss, grad) = net.loss_and_grad(&x, &y);
+            let (ref_loss, ref_grad) = loss_and_grad_full_backward(&mut reference, &x, &y);
+            assert_eq!(loss.to_bits(), ref_loss.to_bits(), "step {step} loss");
+            assert_eq!(grad.len(), ref_grad.len());
+            for (i, (g, r)) in grad.iter().zip(&ref_grad).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    r.to_bits(),
+                    "step {step} grad[{i}]: {g} vs {r}"
+                );
+            }
+            assert_eq!(
+                net.grad_nonzero_runs_into(&mut runs),
+                reference.grad_nonzero_runs_into(&mut ref_runs)
+            );
+            assert_eq!(runs, ref_runs, "step {step} sparse runs");
+            let mut p = net.params_flat();
+            for (pv, gv) in p.iter_mut().zip(&grad) {
+                *pv -= 0.1 * gv;
+            }
+            net.set_params_flat(&p);
+            reference.set_params_flat(&p);
+        }
+    }
+
+    /// Every first-layer type — `Dense`, `Conv1d`, `Embedding` — at the
+    /// architectures of the trainable workloads (`mlp_blobs`,
+    /// `conv_shifted`, `sparse_embedding`), plus the residual MLP and the
+    /// benchmark's 144-128-64-10 MLP.
+    #[test]
+    fn first_layer_param_backward_is_bitwise_the_full_backward() {
+        let blobs = Dataset::gaussian_blobs(4, 20, 8, 0.35, 1);
+        assert_first_layer_skip_is_bitwise(Network::mlp(8, &[16], 4, 1), &blobs);
+        assert_first_layer_skip_is_bitwise(Network::residual_mlp(8, 12, 2, 4, 1), &blobs);
+        let shifted = Dataset::shifted_patterns(4, 20, 32, 0.15, 2);
+        assert_first_layer_skip_is_bitwise(Network::conv1d_classifier(32, 8, 5, 7, 4, 2), &shifted);
+        let tokens = Dataset::zipf_tokens(4, 20, 512, 8, 1.1, 3);
+        assert_first_layer_skip_is_bitwise(
+            Network::embedding_classifier(512, 16, 24, 8, 4, 3),
+            &tokens,
+        );
+        let wide = Dataset::gaussian_blobs(10, 8, 144, 0.5, 4);
+        assert_first_layer_skip_is_bitwise(Network::mlp(144, &[128, 64], 10, 4), &wide);
     }
 
     #[test]

@@ -1,12 +1,34 @@
 //! 2-D linear algebra: matrix products and transposes.
+//!
+//! # Summation contract
+//!
+//! The three products ([`Tensor::matmul`], [`Tensor::t_matmul`],
+//! [`Tensor::matmul_t`]) each compute every output element as one chain of
+//! f32 additions over the shared index in ascending order, starting from a
+//! fixed value: `out = start; for k in 0..K { out = out + a_k * b_k }`. The
+//! multiply and the add are separate roundings (no FMA) and the chain is
+//! never reassociated, split into partial sums, or reordered. Loops are
+//! arranged so that the innermost loop runs across independent outputs,
+//! which is what lets the compiler vectorise them without touching the
+//! order of any one output's additions.
+//!
+//! The results are therefore a pure function of the inputs, bit for bit,
+//! for every loop layout that keeps the contract. Two checks rest on it:
+//! the BSP ≡ sequential SGD equivalence tests of the parameter server, and
+//! the BSP-phase parameter fingerprints of the repository benchmark
+//! (`perfbench/fingerprints.txt`), which must stay equal across commits. A
+//! kernel change that alters any output's chain of adds fails the
+//! fingerprints, and CI's `perf-fingerprint` stage with them.
 
 use crate::tensor::Tensor;
 
 impl Tensor {
     /// Matrix product of two 2-D tensors: `(m×k) · (k×n) → (m×n)`.
     ///
-    /// Uses a cache-friendly i-k-j loop order; at the layer sizes used by the
-    /// training substrate this is comfortably fast enough.
+    /// Output `(i, j)` is `0.0` plus `a[i][k] · b[k][j]` for ascending `k`,
+    /// skipping the terms where `a[i][k] == 0.0` (the skip is part of the
+    /// contract: it fixes the sign of zero outputs). The i-k-j loop order
+    /// keeps the inner loop across `j`.
     ///
     /// # Panics
     ///
@@ -43,6 +65,9 @@ impl Tensor {
     /// `selfᵀ · other` without materializing the transpose:
     /// `(k×m)ᵀ·(k×n) → (m×n)`. Used for weight gradients `Xᵀ·δ`.
     ///
+    /// Output `(i, j)` is `0.0` plus `a[k][i] · b[k][j]` for ascending `k`,
+    /// skipping the terms where `a[k][i] == 0.0`, as in [`Tensor::matmul`].
+    ///
     /// # Panics
     ///
     /// Panics if either tensor is not 2-D or the shared dimension disagrees.
@@ -75,8 +100,14 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// `self · otherᵀ` without materializing the transpose:
-    /// `(m×k)·(n×k)ᵀ → (m×n)`. Used for input gradients `δ·Wᵀ`.
+    /// `self · otherᵀ`: `(m×k)·(n×k)ᵀ → (m×n)`. Used for input gradients
+    /// `δ·Wᵀ`.
+    ///
+    /// Output `(i, j)` is `-0.0` plus `a[i][k] · b[j][k]` for ascending `k`,
+    /// with no term skipped: exactly the fold of
+    /// `arow.iter().zip(brow).map(|(x, y)| x * y).sum::<f32>()`, whose start
+    /// value is `-0.0`. `other` is transposed once so the inner loop runs
+    /// across `j` over contiguous memory.
     ///
     /// # Panics
     ///
@@ -92,13 +123,17 @@ impl Tensor {
             other.shape()
         );
         let a = self.data();
-        let b = other.data();
-        let mut out = vec![0.0f32; m * n];
+        let bt = other.transpose();
+        let bt = bt.data();
+        let mut out = vec![-0.0f32; m * n];
         for i in 0..m {
             let arow = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let brow = &b[j * k..(j + 1) * k];
-                out[i * n + j] = arow.iter().zip(brow).map(|(&x, &y)| x * y).sum();
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (kk, &aik) in arow.iter().enumerate() {
+                let brow = &bt[kk * n..(kk + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow) {
+                    *o += aik * bv;
+                }
             }
         }
         Tensor::from_vec(out, &[m, n])

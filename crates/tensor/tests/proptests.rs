@@ -92,3 +92,111 @@ proptest! {
         }
     }
 }
+
+/// The per-output reference `matmul_t` must reproduce bit for bit: one
+/// serial `Sum` fold per output, in ascending shared-index order.
+fn matmul_t_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    let k = a.cols();
+    let mut out = Vec::with_capacity(a.rows() * b.rows());
+    for arow in a.data().chunks(k) {
+        for brow in b.data().chunks(k) {
+            out.push(arow.iter().zip(brow).map(|(x, y)| x * y).sum::<f32>());
+        }
+    }
+    out
+}
+
+fn assert_bitwise_matmul_t(a: &Tensor, b: &Tensor) -> Result<(), TestCaseError> {
+    let fast = a.matmul_t(b);
+    prop_assert_eq!(fast.shape(), &[a.rows(), b.rows()]);
+    for (idx, (x, y)) in fast.data().iter().zip(matmul_t_reference(a, b)).enumerate() {
+        prop_assert_eq!(x.to_bits(), y.to_bits(), "output {}: {} vs {}", idx, x, y);
+    }
+    Ok(())
+}
+
+/// Mixes magnitudes (so any reassociation changes the rounding) and signed
+/// zeros (so any skipped term changes a zero's sign) into raw samples:
+/// `kind` 0 → `0.0`, 1 → `-0.0`, 2–3 → `v · 1e-4`, otherwise `v`.
+fn mixed(values: &[f32], kinds: &[u8], rows: usize, cols: usize) -> Tensor {
+    let data = values
+        .iter()
+        .zip(kinds)
+        .take(rows * cols)
+        .map(|(&v, &kind)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 | 3 => v * 1e-4,
+            _ => v,
+        })
+        .collect();
+    Tensor::from_vec(data, &[rows, cols])
+}
+
+const MAX_M: usize = 6;
+const MAX_K: usize = 40;
+const MAX_N: usize = 20;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `matmul_t` is bit-identical to the serial per-output dot product,
+    /// for any shape, including widths that are not a multiple of the
+    /// vector width.
+    #[test]
+    fn matmul_t_is_bitwise_the_serial_dot_product(
+        dims in (1usize..MAX_M, 1usize..MAX_K, 1usize..MAX_N),
+        a in proptest::collection::vec(-10.0f32..10.0, MAX_M * MAX_K),
+        a_kinds in proptest::collection::vec(0u8..10, MAX_M * MAX_K),
+        b in proptest::collection::vec(-10.0f32..10.0, MAX_N * MAX_K),
+        b_kinds in proptest::collection::vec(0u8..10, MAX_N * MAX_K),
+    ) {
+        let (m, k, n) = dims;
+        assert_bitwise_matmul_t(&mixed(&a, &a_kinds, m, k), &mixed(&b, &b_kinds, n, k))?;
+    }
+
+    /// The same at width 10 (the classifier head's fan-out), where every
+    /// row ends in a partial vector.
+    #[test]
+    fn matmul_t_is_bitwise_at_width_ten(
+        a in proptest::collection::vec(-10.0f32..10.0, 3 * 17),
+        a_kinds in proptest::collection::vec(0u8..10, 3 * 17),
+        b in proptest::collection::vec(-10.0f32..10.0, 10 * 17),
+        b_kinds in proptest::collection::vec(0u8..10, 10 * 17),
+    ) {
+        assert_bitwise_matmul_t(&mixed(&a, &a_kinds, 3, 17), &mixed(&b, &b_kinds, 10, 17))?;
+    }
+}
+
+/// Every product is `-0.0`, so the output's sign is the start value's:
+/// `-0.0`, the start of `<f32 as Sum>`, not `0.0`.
+#[test]
+fn matmul_t_starts_each_output_at_negative_zero() {
+    let a = Tensor::from_vec(vec![0.0, -0.0, 0.0], &[1, 3]);
+    let b = Tensor::from_vec(vec![-1.0, 2.0, -3.0, -0.5, 0.0, -0.0], &[2, 3]);
+    let out = a.matmul_t(&b);
+    for (x, y) in out.data().iter().zip(matmul_t_reference(&a, &b)) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+        assert_eq!(x.to_bits(), (-0.0f32).to_bits(), "{x} is not -0.0");
+    }
+}
+
+/// The input-gradient product of the benchmark model's middle layer,
+/// `[32, 64] · [128, 64]ᵀ`, is bitwise the serial reference.
+#[test]
+fn matmul_t_is_bitwise_at_the_backward_shape() {
+    let a = Tensor::from_vec(
+        (0..32 * 64).map(|i| (i as f32 * 0.37).sin()).collect(),
+        &[32, 64],
+    );
+    let b = Tensor::from_vec(
+        (0..128 * 64)
+            .map(|i| (i as f32 * 0.11).cos() * 0.2)
+            .collect(),
+        &[128, 64],
+    );
+    let fast = a.matmul_t(&b);
+    for (x, y) in fast.data().iter().zip(matmul_t_reference(&a, &b)) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+    }
+}
