@@ -238,8 +238,13 @@ stage_bench_smoke() {
 # against perfbench/fingerprints.txt and the run exits non-zero on any
 # mismatch, so a kernel change that moves a single bit of the training
 # arithmetic fails here. Built first so compilation does not eat the run
-# budget; hard KILL timeout so a wedged job fails the gate.
+# budget; hard KILL timeout so a wedged job fails the gate. The run checks
+# only the matmul build this host dispatches to (AVX2 or baseline), so the
+# tensor tests run first in the release profile, where the kernels are
+# vectorised: they compare both builds and every kernel against a serial
+# reference, bit for bit.
 stage_perf_fingerprint() {
+    cargo test -q --release -p sync-switch-tensor
     cargo build --quiet --release --offline --manifest-path perfbench/Cargo.toml
     timeout -sKILL 180 \
         cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml \

@@ -31,6 +31,28 @@ fn bench_tensor(c: &mut Criterion) {
     c.bench_function("matmul_t_32x64x128", |bench| {
         bench.iter(|| black_box(delta.matmul_t(&w)))
     });
+    // The benchmark model's first 144→128 layer: forward `X·W` and weight
+    // gradient `Xᵀ·δ` of a 32-sample batch, and the forward of the
+    // 800-sample held-out set.
+    let wave = |rows: usize, cols: usize, f: f32| {
+        Tensor::from_vec(
+            (0..rows * cols).map(|i| (i as f32 * f).sin()).collect(),
+            &[rows, cols],
+        )
+    };
+    let x = wave(32, 144, 0.31);
+    let w1 = wave(144, 128, 0.07);
+    let delta1 = wave(32, 128, 0.19);
+    let held_out = wave(800, 144, 0.41);
+    c.bench_function("matmul_32x144x128", |bench| {
+        bench.iter(|| black_box(x.matmul(&w1)))
+    });
+    c.bench_function("t_matmul_32x144x128", |bench| {
+        bench.iter(|| black_box(x.t_matmul(&delta1)))
+    });
+    c.bench_function("matmul_800x144x128", |bench| {
+        bench.iter(|| black_box(held_out.matmul(&w1)))
+    });
     let mut p = Tensor::full(&[64 * 512], 0.1);
     let g = Tensor::full(&[64 * 512], 0.01);
     c.bench_function("axpy_32k", |bench| {

@@ -17,6 +17,8 @@
 //! assert_eq!(c.data(), a.data());
 //! ```
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod init;
 pub mod linalg;
 pub mod tensor;

@@ -109,10 +109,7 @@ fn matmul_t_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
 fn assert_bitwise_matmul_t(a: &Tensor, b: &Tensor) -> Result<(), TestCaseError> {
     let fast = a.matmul_t(b);
     prop_assert_eq!(fast.shape(), &[a.rows(), b.rows()]);
-    for (idx, (x, y)) in fast.data().iter().zip(matmul_t_reference(a, b)).enumerate() {
-        prop_assert_eq!(x.to_bits(), y.to_bits(), "output {}: {} vs {}", idx, x, y);
-    }
-    Ok(())
+    assert_bitwise(&fast, matmul_t_reference(a, b))
 }
 
 /// Mixes magnitudes (so any reassociation changes the rounding) and signed
@@ -197,6 +194,151 @@ fn matmul_t_is_bitwise_at_the_backward_shape() {
     );
     let fast = a.matmul_t(&b);
     for (x, y) in fast.data().iter().zip(matmul_t_reference(&a, &b)) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+    }
+}
+
+/// The per-output reference `matmul` and `t_matmul` must reproduce bit for
+/// bit: output `(i, j)` is a chain from `0.0` over ascending `k` of
+/// `left(i, k) · b[k][j]`, skipping the terms whose left-hand entry is zero.
+fn skip_zero_reference(
+    (m, k, n): (usize, usize, usize),
+    left: impl Fn(usize, usize) -> f32,
+    b: &Tensor,
+) -> Vec<f32> {
+    let mut out = Vec::with_capacity(m * n);
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                let x = left(i, kk);
+                if x != 0.0 {
+                    acc += x * b.at(kk, j);
+                }
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+fn matmul_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    skip_zero_reference((a.rows(), a.cols(), b.cols()), |i, kk| a.at(i, kk), b)
+}
+
+fn t_matmul_reference(a: &Tensor, b: &Tensor) -> Vec<f32> {
+    skip_zero_reference((a.cols(), a.rows(), b.cols()), |i, kk| a.at(kk, i), b)
+}
+
+fn assert_bitwise(fast: &Tensor, reference: Vec<f32>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(fast.len(), reference.len());
+    for (idx, (x, y)) in fast.data().iter().zip(reference).enumerate() {
+        prop_assert_eq!(x.to_bits(), y.to_bits(), "output {}: {} vs {}", idx, x, y);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `matmul` is bit-identical to the per-output chain for any shape,
+    /// including widths that are not a multiple of the vector width.
+    #[test]
+    fn matmul_is_bitwise_the_serial_chain(
+        dims in (1usize..MAX_M, 1usize..MAX_K, 1usize..MAX_N),
+        a in proptest::collection::vec(-10.0f32..10.0, MAX_M * MAX_K),
+        a_kinds in proptest::collection::vec(0u8..10, MAX_M * MAX_K),
+        b in proptest::collection::vec(-10.0f32..10.0, MAX_K * MAX_N),
+        b_kinds in proptest::collection::vec(0u8..10, MAX_K * MAX_N),
+    ) {
+        let (m, k, n) = dims;
+        let (a, b) = (mixed(&a, &a_kinds, m, k), mixed(&b, &b_kinds, k, n));
+        let out = a.matmul(&b);
+        prop_assert_eq!(out.shape(), &[m, n]);
+        assert_bitwise(&out, matmul_reference(&a, &b))?;
+    }
+
+    /// `t_matmul` likewise.
+    #[test]
+    fn t_matmul_is_bitwise_the_serial_chain(
+        dims in (1usize..MAX_M, 1usize..MAX_K, 1usize..MAX_N),
+        a in proptest::collection::vec(-10.0f32..10.0, MAX_K * MAX_M),
+        a_kinds in proptest::collection::vec(0u8..10, MAX_K * MAX_M),
+        b in proptest::collection::vec(-10.0f32..10.0, MAX_K * MAX_N),
+        b_kinds in proptest::collection::vec(0u8..10, MAX_K * MAX_N),
+    ) {
+        let (m, k, n) = dims;
+        let (a, b) = (mixed(&a, &a_kinds, k, m), mixed(&b, &b_kinds, k, n));
+        let out = a.t_matmul(&b);
+        prop_assert_eq!(out.shape(), &[m, n]);
+        assert_bitwise(&out, t_matmul_reference(&a, &b))?;
+    }
+
+    /// Both at width 10 (the classifier head's fan-out), where every row
+    /// ends in a partial vector.
+    #[test]
+    fn matmul_and_t_matmul_are_bitwise_at_width_ten(
+        a in proptest::collection::vec(-10.0f32..10.0, 3 * 17),
+        a_kinds in proptest::collection::vec(0u8..10, 3 * 17),
+        b in proptest::collection::vec(-10.0f32..10.0, 17 * 10),
+        b_kinds in proptest::collection::vec(0u8..10, 17 * 10),
+    ) {
+        let b = mixed(&b, &b_kinds, 17, 10);
+        let a_left = mixed(&a, &a_kinds, 3, 17);
+        assert_bitwise(&a_left.matmul(&b), matmul_reference(&a_left, &b))?;
+        let a_top = mixed(&a, &a_kinds, 17, 3);
+        assert_bitwise(&a_top.t_matmul(&b), t_matmul_reference(&a_top, &b))?;
+    }
+}
+
+/// A zero left-hand entry skips its term, so an infinite right-hand entry
+/// against it leaves no NaN; and the chain starts at `0.0`, so an output
+/// whose every term is `-0.0` or skipped is `0.0`, not `-0.0`.
+#[test]
+fn matmul_and_t_matmul_skip_zero_terms_and_start_at_zero() {
+    let a = Tensor::from_vec(vec![0.0, -0.0, -1.0], &[1, 3]);
+    let b = Tensor::from_vec(vec![f32::INFINITY, f32::NEG_INFINITY, 0.0], &[3, 1]);
+    let a_top = Tensor::from_vec(a.data().to_vec(), &[3, 1]);
+    for out in [a.matmul(&b), a_top.t_matmul(&b)] {
+        assert_eq!(out.data()[0].to_bits(), 0.0f32.to_bits(), "{out:?}");
+    }
+}
+
+/// The benchmark model's first layer, `[32, 144] · [144, 128]` forward and
+/// `[32, 144]ᵀ · [32, 128]` weight gradient, is bitwise the reference.
+#[test]
+fn matmul_and_t_matmul_are_bitwise_at_the_first_layer_shape() {
+    let x = Tensor::from_vec(
+        (0..32 * 144)
+            .map(|i| {
+                if i % 5 == 0 {
+                    0.0
+                } else {
+                    (i as f32 * 0.37).sin()
+                }
+            })
+            .collect(),
+        &[32, 144],
+    );
+    let w = Tensor::from_vec(
+        (0..144 * 128)
+            .map(|i| (i as f32 * 0.11).cos() * 0.2)
+            .collect(),
+        &[144, 128],
+    );
+    let delta = Tensor::from_vec(
+        (0..32 * 128).map(|i| (i as f32 * 0.23).sin()).collect(),
+        &[32, 128],
+    );
+    for (x, y) in x.matmul(&w).data().iter().zip(matmul_reference(&x, &w)) {
+        assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+    }
+    for (x, y) in x
+        .t_matmul(&delta)
+        .data()
+        .iter()
+        .zip(t_matmul_reference(&x, &delta))
+    {
         assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
     }
 }
